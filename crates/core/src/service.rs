@@ -14,7 +14,7 @@
 //! reproducible.
 
 use crate::workload::Workload;
-use vcgp_graph::{traversal, Graph, GraphBuilder, SplitMix64, VertexId, INVALID_VERTEX};
+use vcgp_graph::{traversal, Graph, GraphBuilder, SplitMix64};
 use vcgp_pregel::{PregelConfig, RunStats};
 
 /// PageRank iterations used on the serving path (convergence-grade runs use
@@ -132,350 +132,6 @@ pub fn supported_workloads(graph: &Graph) -> Vec<Workload> {
         .into_iter()
         .filter(|&w| supported(w, graph).is_ok())
         .collect()
-}
-
-/// How a workload's scalar answer decomposes across a sharded service's
-/// vertex slices.
-///
-/// A sharded deployment partitions vertex *ownership*; the structural graph
-/// is replicated to every shard (the single-process stand-in for the
-/// partitioned-plus-replicated storage real vertex-centric systems use).
-/// For a scattered analytics request every shard runs the same
-/// deterministic algorithm and extracts the contribution of its owned
-/// slice; the gather side folds those partials back into the global answer.
-/// The modes are exact — not approximations — because the engine is
-/// deterministic for a fixed `(config, seed)`, so every shard observes the
-/// identical per-vertex output vector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GatherMode {
-    /// Owned-slice partials add up to the global answer (counts: reached
-    /// vertices, component representatives, matched edges, …).
-    Sum,
-    /// Owned-slice partials are slice maxima; the global answer is their
-    /// maximum (eccentricities, color counts).
-    Max,
-    /// The partial is the owned argmax `(score, vertex)`; the gather keeps
-    /// the best score, breaking exact ties toward the higher vertex id —
-    /// the same winner as a full-vector `max_by` scan.
-    ArgMax,
-    /// Not gather-mergeable: the request must run whole on one designated
-    /// shard (the sharded service's primary-shard fall-back path). Since
-    /// BCC gained its minimum-edge-endpoint reduction, no Table 1 workload
-    /// uses this mode — it remains for the capability table and for future
-    /// workloads whose answers genuinely cannot be sliced.
-    Whole,
-}
-
-/// The gather mode of `workload` — the capability table's
-/// "gather-mergeable" bit ([`GatherMode::Whole`] means *not* mergeable).
-pub fn gather_mode(workload: Workload) -> GatherMode {
-    match workload {
-        Workload::Diameter | Workload::Apsp | Workload::Coloring => GatherMode::Max,
-        Workload::PageRank | Workload::Betweenness => GatherMode::ArgMax,
-        _ => GatherMode::Sum,
-    }
-}
-
-/// One row of the serving capability table: whether the workload runs on
-/// the resident graph at all, and how it gathers when sharded.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Capability {
-    /// The workload.
-    pub workload: Workload,
-    /// `Ok` precondition check against the resident graph.
-    pub supported: bool,
-    /// The workload's gather mode (meaningful whether or not supported).
-    pub gather: GatherMode,
-}
-
-/// The full 20-row capability table for `graph`, in Table 1 order.
-pub fn capabilities(graph: &Graph) -> Vec<Capability> {
-    Workload::ALL
-        .into_iter()
-        .map(|w| Capability {
-            workload: w,
-            supported: supported(w, graph).is_ok(),
-            gather: gather_mode(w),
-        })
-        .collect()
-}
-
-/// A shard's partial contribution to a scattered workload answer.
-///
-/// Variants mirror [`GatherMode`]; merging is only defined between
-/// partials of the same variant (a scattered request always produces
-/// same-variant legs, since every shard computes the same workload).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Partial {
-    /// A summable count.
-    Sum(u64),
-    /// A slice maximum.
-    Max(u64),
-    /// The owned argmax; `score` is `NEG_INFINITY` for an empty slice.
-    ArgMax {
-        /// Best score in the owned slice.
-        score: f64,
-        /// Vertex achieving it (ties resolved toward the higher id).
-        vertex: u64,
-    },
-}
-
-impl Partial {
-    /// Folds another shard's partial into this one.
-    ///
-    /// # Panics
-    /// Panics if the variants differ — that is a router bug, not a data
-    /// condition.
-    pub fn merge(self, other: Partial) -> Partial {
-        match (self, other) {
-            (Partial::Sum(a), Partial::Sum(b)) => Partial::Sum(a + b),
-            (Partial::Max(a), Partial::Max(b)) => Partial::Max(a.max(b)),
-            (
-                Partial::ArgMax { score: sa, vertex: va },
-                Partial::ArgMax { score: sb, vertex: vb },
-            ) => {
-                // Higher score wins; an exact tie goes to the higher vertex
-                // id, matching the last-maximum convention of the
-                // single-instance `max_by` scan over ascending ids.
-                if sb > sa || (sb == sa && vb > va) {
-                    Partial::ArgMax { score: sb, vertex: vb }
-                } else {
-                    Partial::ArgMax { score: sa, vertex: va }
-                }
-            }
-            (a, b) => panic!("cannot merge mismatched partials {a:?} and {b:?}"),
-        }
-    }
-
-    /// The merged global scalar answer.
-    pub fn finish(self) -> u64 {
-        match self {
-            Partial::Sum(x) | Partial::Max(x) => x,
-            Partial::ArgMax { vertex, .. } => vertex,
-        }
-    }
-}
-
-/// Result of one shard-partial workload execution.
-#[derive(Debug, Clone)]
-pub struct PartialRun {
-    /// Engine instrumentation of this shard's (full, replicated) run.
-    pub stats: RunStats,
-    /// The owned slice's contribution to the answer.
-    pub partial: Partial,
-}
-
-/// Runs `workload`'s scattered leg on one shard: executes the same
-/// deterministic algorithm [`run_workload`] would (same seed derivation,
-/// same superstep clamp) and reduces the per-vertex output over the vertices
-/// `owns` claims, producing this shard's [`Partial`].
-///
-/// The caller (the shard router) guarantees the ownership predicates of the
-/// fanned-out legs partition the vertex set; under that contract, merging
-/// every leg's partial reproduces [`run_workload`]'s answer exactly.
-///
-/// Returns the failed precondition for unsupported workloads, and a
-/// not-gather-mergeable error for [`GatherMode::Whole`] workloads — those
-/// must be routed whole to a single shard instead.
-pub fn run_workload_partial(
-    workload: Workload,
-    graph: &Graph,
-    config: &PregelConfig,
-    seed: u64,
-    owns: &dyn Fn(VertexId) -> bool,
-) -> Result<PartialRun, Unsupported> {
-    supported(workload, graph)?;
-    if gather_mode(workload) == GatherMode::Whole {
-        return Err(Unsupported {
-            workload,
-            reason: "not gather-mergeable: route the request whole to one shard",
-        });
-    }
-    let cfg = config
-        .clone()
-        .with_max_supersteps(config.max_supersteps.min(SERVICE_MAX_SUPERSTEPS));
-    let mut rng = SplitMix64::new(seed);
-    let source = rng.next_index(graph.num_vertices()) as u32;
-    // Count owned component representatives: labels are normalized to the
-    // smallest member id, so each component is counted exactly once, by
-    // whichever shard owns its representative.
-    let owned_reps = |components: &[VertexId]| -> Partial {
-        Partial::Sum(
-            components
-                .iter()
-                .enumerate()
-                .filter(|&(v, &c)| c == v as VertexId && owns(v as VertexId))
-                .count() as u64,
-        )
-    };
-    // Count matched edges at their lower endpoint so each edge is owned by
-    // exactly one shard.
-    let owned_mates = |mate: &[VertexId]| -> Partial {
-        Partial::Sum(
-            mate.iter()
-                .enumerate()
-                .filter(|&(v, &m)| m != INVALID_VERTEX && (v as VertexId) < m && owns(v as VertexId))
-                .count() as u64,
-        )
-    };
-    let owned_argmax = |scores: &[f64]| -> Partial {
-        let mut best = Partial::ArgMax { score: f64::NEG_INFINITY, vertex: 0 };
-        for (v, &s) in scores.iter().enumerate() {
-            if owns(v as VertexId) {
-                best = best.merge(Partial::ArgMax { score: s, vertex: v as u64 });
-            }
-        }
-        best
-    };
-    let run = match workload {
-        Workload::Diameter | Workload::Apsp => {
-            let r = vcgp_algorithms::diameter::run(graph, &cfg);
-            let ecc = r
-                .eccentricities
-                .iter()
-                .enumerate()
-                .filter(|&(v, _)| owns(v as VertexId))
-                .map(|(_, &e)| u64::from(e))
-                .max()
-                .unwrap_or(0);
-            PartialRun { partial: Partial::Max(ecc), stats: r.stats }
-        }
-        Workload::PageRank => {
-            let r = vcgp_algorithms::pagerank::run(graph, 0.85, SERVICE_PAGERANK_ITERS, &cfg);
-            PartialRun { partial: owned_argmax(&r.scores), stats: r.stats }
-        }
-        Workload::CcHashMin => {
-            let r = vcgp_algorithms::cc_hashmin::run(graph, &cfg);
-            PartialRun { partial: owned_reps(&r.components), stats: r.stats }
-        }
-        Workload::CcSv => {
-            let r = vcgp_algorithms::cc_sv::run(graph, &cfg);
-            PartialRun { partial: owned_reps(&r.components), stats: r.stats }
-        }
-        Workload::Wcc => {
-            let r = vcgp_algorithms::wcc::run(graph, &cfg);
-            PartialRun { partial: owned_reps(&r.components), stats: r.stats }
-        }
-        Workload::Scc => {
-            let r = vcgp_algorithms::scc::run(graph, &cfg);
-            PartialRun { partial: owned_reps(&r.components), stats: r.stats }
-        }
-        Workload::EulerTour => {
-            // The tour length: each arc is attributed to its source vertex.
-            let r = vcgp_algorithms::euler_tour::run(graph, 0, &cfg);
-            let arcs = r.tour.iter().filter(|&&(u, _)| owns(u)).count() as u64;
-            PartialRun { partial: Partial::Sum(arcs), stats: r.stats }
-        }
-        Workload::TreeOrder => {
-            // The answer is the numbered-vertex count; each shard reports
-            // its owned vertices.
-            let r = vcgp_algorithms::tree_order::run(graph, 0, &cfg);
-            let owned = (0..r.pre.len()).filter(|&v| owns(v as VertexId)).count() as u64;
-            PartialRun { partial: Partial::Sum(owned), stats: r.stats }
-        }
-        Workload::SpanningTree => {
-            // Canonical (min, max) edges are attributed to their min
-            // endpoint's owner.
-            let r = vcgp_algorithms::spanning_tree::run(graph, &cfg);
-            let edges = r.tree_edges.iter().filter(|&&(a, _)| owns(a)).count() as u64;
-            PartialRun { partial: Partial::Sum(edges), stats: r.stats }
-        }
-        Workload::Mst => {
-            let r = vcgp_algorithms::mst_boruvka::run(graph, &cfg);
-            let edges = r.edges.iter().filter(|&&(u, _, _)| owns(u)).count() as u64;
-            PartialRun { partial: Partial::Sum(edges), stats: r.stats }
-        }
-        Workload::Coloring => {
-            // `num_colors` = max color + 1 and MIS rounds never skip a
-            // color, so slice maxima of `color + 1` merge exactly.
-            let r = vcgp_algorithms::coloring_mis::run(graph, &cfg);
-            let k = r
-                .colors
-                .iter()
-                .enumerate()
-                .filter(|&(v, _)| owns(v as VertexId))
-                .map(|(_, &c)| u64::from(c) + 1)
-                .max()
-                .unwrap_or(0);
-            PartialRun { partial: Partial::Max(k), stats: r.stats }
-        }
-        Workload::Matching => {
-            let r = vcgp_algorithms::matching_preis::run(graph, &cfg);
-            PartialRun { partial: owned_mates(&r.mate), stats: r.stats }
-        }
-        Workload::BipartiteMatching => {
-            let nl = bipartite_split(graph).expect("checked by supported()");
-            let r = vcgp_algorithms::bipartite_matching::run(graph, nl, &cfg);
-            PartialRun { partial: owned_mates(&r.mate), stats: r.stats }
-        }
-        Workload::Betweenness => {
-            let r = vcgp_algorithms::betweenness::run(graph, Some(&[source]), &cfg);
-            PartialRun { partial: owned_argmax(&r.scores), stats: r.stats }
-        }
-        Workload::Sssp => {
-            let r = vcgp_algorithms::sssp::run(graph, source, &cfg);
-            let reached = r
-                .dist
-                .iter()
-                .enumerate()
-                .filter(|&(v, &d)| d.is_finite() && owns(v as VertexId))
-                .count() as u64;
-            PartialRun { partial: Partial::Sum(reached), stats: r.stats }
-        }
-        Workload::GraphSim => {
-            let q = seeded_query(graph, seed);
-            let r = vcgp_algorithms::graph_simulation::run(&q, graph, &cfg);
-            PartialRun { partial: owned_match_count(&r.matches, owns), stats: r.stats }
-        }
-        Workload::DualSim => {
-            let q = seeded_query(graph, seed);
-            let r = vcgp_algorithms::dual_simulation::run(&q, graph, &cfg);
-            PartialRun { partial: owned_match_count(&r.matches, owns), stats: r.stats }
-        }
-        Workload::StrongSim => {
-            let q = seeded_query(graph, seed);
-            let r = vcgp_algorithms::strong_simulation::run(&q, graph, &cfg);
-            let centers = r
-                .centers
-                .iter()
-                .enumerate()
-                .filter(|&(w, c)| !c.is_empty() && owns(w as VertexId))
-                .count() as u64;
-            PartialRun { partial: Partial::Sum(centers), stats: r.stats }
-        }
-        Workload::Bcc => {
-            // Blocks carry no per-vertex representative, but they do have a
-            // canonical per-*edge* one: every block is counted exactly once,
-            // by the owner of the minimum vertex id across its edges. All
-            // shards compute the identical deterministic `block_of_edge`
-            // labelling, so the owned counts partition the block count.
-            let r = vcgp_algorithms::bcc::run(graph, &cfg);
-            let mut rep: Vec<VertexId> = vec![INVALID_VERTEX; r.count];
-            for ((u, v, _), &b) in graph.edges().zip(&r.block_of_edge) {
-                let lo = u.min(v);
-                let slot = &mut rep[b as usize];
-                if *slot == INVALID_VERTEX || lo < *slot {
-                    *slot = lo;
-                }
-            }
-            let owned = rep
-                .iter()
-                .filter(|&&v| v != INVALID_VERTEX && owns(v))
-                .count() as u64;
-            PartialRun { partial: Partial::Sum(owned), stats: r.stats }
-        }
-    };
-    Ok(run)
-}
-
-/// Match pairs `(q, v)` attributed to the data vertex `v`'s owner.
-fn owned_match_count(matches: &[Vec<u32>], owns: &dyn Fn(VertexId) -> bool) -> Partial {
-    Partial::Sum(
-        matches
-            .iter()
-            .map(|m| m.iter().filter(|&&v| owns(v)).count() as u64)
-            .sum(),
-    )
 }
 
 /// A deterministic 2-cycle query pattern over the label of a seeded data

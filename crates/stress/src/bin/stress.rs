@@ -9,7 +9,7 @@
 //!        [--shards N] [--replicas N] [--routing round-robin|least-loaded]
 //!        [--queue-policy block|reject]
 //!        [--cache-capacity N] [--cache-off] [--repeat N]
-//!        [--mix points|mixed|analytics|hotspot|scatter] [--seed N]
+//!        [--mix points|mixed|analytics|hotspot] [--seed N]
 //!        [--zipf-s S] [--write-ratio R] [--mutation-seed N]
 //!        [--write-buffer N] [--max-batch N]
 //!        [--timeout-ms N] [--retries N] [--name NAME] [--quiet]
@@ -110,7 +110,7 @@ fn usage() {
          process (pass 2+ replays the identical seeded stream,\n                    \
          so cache hits become observable); reports are named\n                    \
          stress_<name>-pass<i> when N > 1\n  \
-         --mix NAME        points | mixed | analytics | hotspot | scatter\n                    \
+         --mix NAME        points | mixed | analytics | hotspot\n                    \
          (default points)\n  \
          --seed N          operation-stream seed (default 7)\n  \
          --zipf-s S        draw point-lookup keys zipfian with exponent S\n                    \
@@ -436,7 +436,7 @@ fn validate_report(path: &str) -> Result<String, String> {
             .and_then(json::Value::as_f64)
             .ok_or_else(|| format!("{path}: missing numeric field {key:?}"))
     };
-    for key in ["latency_ns", "service_ns", "gather_ns"] {
+    for key in ["latency_ns", "service_ns"] {
         let h = doc.get(key).ok_or_else(|| format!("{path}: missing {key:?}"))?;
         for q in ["p50", "p90", "p99", "p999", "max"] {
             h.get(q)
@@ -454,7 +454,7 @@ fn validate_report(path: &str) -> Result<String, String> {
         Some(_) => return Err(format!("{path}: routing is not a string")),
         None => return Err(format!("{path}: missing \"routing\"")),
     }
-    for key in ["routed", "scattered", "rejects", "early_drops"] {
+    for key in ["routed", "rejects", "early_drops"] {
         num(key)?;
     }
     // The answer hash is emitted as a 16-digit hex string (u64 does not fit
@@ -656,6 +656,20 @@ fn validate_report(path: &str) -> Result<String, String> {
             ));
         }
     }
+    // Work is not multiplied: every read operation is answered by exactly
+    // one core (a cache hit counts as completed, a reject as failed), so
+    // the per-shard outcome counts sum to the run's operation count.
+    let ops = num("ops")?;
+    let answered: f64 = per_shard
+        .iter()
+        .filter_map(|e| Some(e.get("completed")?.as_f64()? + e.get("failed")?.as_f64()?))
+        .sum();
+    if answered != ops {
+        return Err(format!(
+            "{path}: per_shard completed + failed sums to {answered} but ops is {ops} \
+             (each operation must be answered by exactly one core)"
+        ));
+    }
     // The scenario section: phases present, and the run-level counters are
     // the exact fold of the phase counters (sums, XOR for the answer hash),
     // while each phase's interval series folds exactly to its own totals.
@@ -699,7 +713,6 @@ fn validate_report(path: &str) -> Result<String, String> {
             "timeouts",
             "retries",
             "routed",
-            "scattered",
             "write_errors",
         ] {
             pnum(key)?;
@@ -814,7 +827,6 @@ fn validate_report(path: &str) -> Result<String, String> {
             ));
         }
     }
-    let ops = num("ops")?;
     let errors = num("errors")?;
     if ops < 1.0 {
         return Err(format!("{path}: no operations completed"));

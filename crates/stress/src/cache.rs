@@ -1,16 +1,16 @@
-//! Per-shard result cache: fingerprinted memoization of analytics answers
-//! and scattered partials.
+//! Per-shard result cache: fingerprinted memoization of analytics answers.
 //!
 //! One [`ResultCache`] exists per shard and is shared by every replica
 //! core serving that shard. [`CacheKey`] is **replica-agnostic** — it
-//! captures `(workload, fingerprint, seed, scope)` and nothing about which
+//! captures `(workload, fingerprint, seed)` and nothing about which
 //! replica computed or looked up the entry — so an answer inserted via one
 //! replica is a hit no matter where the routing policy sends the repeat,
 //! and the hit/miss counters count each shard-level lookup exactly once.
+//! The sharded router sends every repeat of a `(workload, seed)` request
+//! to the same shard, so each answer is cached exactly once.
 //!
 //! Every serving-path answer is a pure function of
-//! `(workload, graph, seed)` (see [`vcgp_core::service::run_workload`]) and
-//! a scattered leg's partial additionally of the shard's owned slice — both
+//! `(workload, graph, seed)` (see [`vcgp_core::service::run_workload`]),
 //! captured by a [`CacheKey`] built on the stable
 //! [`vcgp_core::fingerprint::graph_fingerprint`]. Repeated analytics
 //! queries in a stress mix therefore never need to re-run the Pregel
@@ -40,14 +40,13 @@
 //! [`crate::shard::ShardedGraphService::invalidate_cache`], and the epoch
 //! writer (see [`crate::epoch`]) now fires it after every snapshot swap.
 //! Correctness never depended on it: cache keys derive from the request's
-//! *pinned epoch* fingerprint (whole-graph and per-leg), so entries from
+//! *pinned epoch* fingerprint, so entries from
 //! an older epoch can never be confused for current ones — the hook
 //! reclaims their memory so dead fingerprints don't pin capacity.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use vcgp_core::service::Partial;
 use vcgp_core::Workload;
 
 /// Protected-segment share of capacity: `PROTECTED_NUM / PROTECTED_DEN`
@@ -57,62 +56,29 @@ const PROTECTED_NUM: usize = 4;
 /// See [`PROTECTED_NUM`].
 const PROTECTED_DEN: usize = 5;
 
-/// Whether a cached value is a whole answer or one shard's scattered leg.
-///
-/// The discriminant is part of the key because a single-instance service
-/// can serve both kinds for the same `(workload, fingerprint, seed)` triple
-/// and their payload types differ ([`CachedAnswer::Whole`] vs
-/// [`CachedAnswer::Leg`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CacheScope {
-    /// A whole-graph answer (direct requests and the primary-shard
-    /// fall-back path).
-    Whole,
-    /// One shard's owned-slice partial of a scattered workload. The
-    /// fingerprint in the key is the
-    /// [`leg_fingerprint`](vcgp_core::fingerprint::leg_fingerprint) of the
-    /// full graph and the shard slice.
-    Leg,
-}
-
 /// The identity of one memoizable serving-path computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// The Table 1 workload.
     pub workload: Workload,
-    /// Whole answer vs scattered leg.
-    pub scope: CacheScope,
-    /// Graph identity: the full graph's fingerprint for
-    /// [`CacheScope::Whole`], the leg fingerprint (full ⊕ slice) for
-    /// [`CacheScope::Leg`].
+    /// Graph identity: the pinned epoch's full-graph fingerprint.
     pub fingerprint: u64,
     /// The request seed (source-parameterized workloads derive their source
     /// from it, so it is part of the answer's identity).
     pub seed: u64,
 }
 
-/// A memoized serving-path result, cheap to clone (all scalars).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CachedAnswer {
-    /// A whole workload answer plus its run costs (the costs are part of
-    /// the response contract, so they are memoized alongside the answer).
-    Whole {
-        /// The workload's scalar answer.
-        answer: u64,
-        /// Supersteps of the (memoized) run.
-        supersteps: u64,
-        /// Messages of the (memoized) run.
-        messages: u64,
-    },
-    /// One shard's owned-slice partial plus its run costs.
-    Leg {
-        /// The owned-slice partial.
-        partial: Partial,
-        /// Supersteps of the (memoized) run.
-        supersteps: u64,
-        /// Messages of the (memoized) run.
-        messages: u64,
-    },
+/// A memoized workload answer plus its run costs (the costs are part of
+/// the response contract, so they are memoized alongside the answer).
+/// Cheap to copy: all scalars.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CachedAnswer {
+    /// The workload's scalar answer.
+    pub answer: u64,
+    /// Supersteps of the (memoized) run.
+    pub supersteps: u64,
+    /// Messages of the (memoized) run.
+    pub messages: u64,
 }
 
 /// Monotone cache counters plus the resident-size gauges, snapshot by
@@ -327,14 +293,13 @@ mod tests {
     fn key(seed: u64) -> CacheKey {
         CacheKey {
             workload: Workload::Sssp,
-            scope: CacheScope::Whole,
             fingerprint: 0xF00D,
             seed,
         }
     }
 
     fn answer(x: u64) -> CachedAnswer {
-        CachedAnswer::Whole { answer: x, supersteps: 3, messages: 17 }
+        CachedAnswer { answer: x, supersteps: 3, messages: 17 }
     }
 
     #[test]
@@ -348,18 +313,8 @@ mod tests {
         assert_eq!((s.hits, s.misses, s.insertions, s.evictions), (1, 2, 1, 0));
         assert_eq!(s.entries, 1);
         assert_eq!(s.resident_bytes, entry_bytes());
-    }
-
-    #[test]
-    fn scope_and_fingerprint_separate_keys() {
-        let c = ResultCache::new(8);
-        let whole = key(7);
-        let leg = CacheKey { scope: CacheScope::Leg, ..whole };
-        let other_graph = CacheKey { fingerprint: 0xBEEF, ..whole };
-        c.insert(whole, answer(1));
-        assert_eq!(c.get(&leg), None);
-        assert_eq!(c.get(&other_graph), None);
-        assert_eq!(c.get(&whole), Some(answer(1)));
+        let other_graph = CacheKey { fingerprint: 0xBEEF, ..key(1) };
+        assert_eq!(c.get(&other_graph), None, "different graph is a different key");
     }
 
     #[test]

@@ -26,9 +26,8 @@
 //! charged for the operations that queued up behind the stall, not silently
 //! excused. The separate service-time histogram measures execution only.
 //!
-//! **Sharding visibility.** Clients count routed-vs-scattered dispatches
-//! from each response's [`Route`] and record the gather straggler penalty
-//! of scattered operations; at the end of the run the target's per-shard
+//! **Sharding visibility.** Clients count routed dispatches from each
+//! response's [`Route`]; at the end of the run the target's per-shard
 //! snapshots contribute occupancy (queue high-water marks), rejects, early
 //! drops, and result-cache hit counts to the report — plus one row per
 //! replica core (completed, queue high-water mark, executor busy time, and
@@ -58,7 +57,6 @@ use crate::request::{QueryError, QueryOutput, QueryRequest, Route};
 use crate::router::StressTarget;
 use crate::scenario::{Phase, RateSpec, Scenario, SloStop};
 use crate::service::{ReplicaSeries, ReplicaSnapshot, ShardSnapshot, SubmitError};
-use vcgp_core::service::Partial;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -86,11 +84,6 @@ const TENANT_STREAM: u64 = 0x544E_5354; // "TNST"
 fn output_hash(id: u64, out: &QueryOutput) -> u64 {
     let payload = match out {
         QueryOutput::Workload { answer, .. } => mix3(1, *answer, 0),
-        QueryOutput::WorkloadPartial { partial, .. } => match *partial {
-            Partial::Sum(v) => mix3(2, v, 0),
-            Partial::Max(v) => mix3(3, v, 0),
-            Partial::ArgMax { score, vertex } => mix3(4, mix3(score.to_bits(), vertex, 0), 0),
-        },
         QueryOutput::Degree(d) => mix3(5, *d as u64, 0),
         // Neighbor lists are order-significant (CSR order), so chain rather
         // than fold commutatively.
@@ -187,10 +180,8 @@ pub struct PhaseReport {
     pub timeouts: u64,
     /// Retry attempts beyond each operation's first.
     pub retries: u64,
-    /// Operations owner-routed to a single shard.
+    /// Operations routed to a single shard.
     pub routed: u64,
-    /// Operations scattered to every shard and gather-merged.
-    pub scattered: u64,
     /// Mutations accepted into the write buffer.
     pub writes: u64,
     /// Mutations refused at submission.
@@ -201,8 +192,6 @@ pub struct PhaseReport {
     pub latency: LogHistogram,
     /// Pure execution time reported per response.
     pub service_time: LogHistogram,
-    /// Gather straggler penalty of scattered operations.
-    pub gather: LogHistogram,
     /// Client-observed accept latency of successful mutation submissions.
     pub write_accept: LogHistogram,
     /// The phase's latency samples bucketed by completion time (relative
@@ -283,11 +272,9 @@ pub struct StressReport {
     pub timeouts: u64,
     /// Retry attempts beyond each operation's first.
     pub retries: u64,
-    /// Operations owner-routed to a single shard (or run whole on the
-    /// primary shard).
+    /// Operations routed to a single shard (every operation, on a sharded
+    /// target).
     pub routed: u64,
-    /// Operations scattered to every shard and gather-merged.
-    pub scattered: u64,
     /// Requests shed at submission under the reject queue policy (from the
     /// service's counters).
     pub rejects: u64,
@@ -333,9 +320,6 @@ pub struct StressReport {
     pub latency: LogHistogram,
     /// Pure execution time in nanoseconds (excludes queueing and backoff).
     pub service_time: LogHistogram,
-    /// Gather straggler penalty in nanoseconds, recorded per scattered
-    /// operation (empty when nothing scattered).
-    pub gather: LogHistogram,
     /// One report per tenant (always at least one row); the rows fold
     /// exactly into the run counters — see [`TenantReport`].
     pub tenants: Vec<TenantReport>,
@@ -464,9 +448,9 @@ impl StressReport {
                     "{{\"phase\": \"{}\", \"clients\": {}, \"rate\": {}, \"start_s\": {:.3}, \
                      \"elapsed_s\": {:.3}, \"ops\": {}, \"ok\": {}, \"errors\": {}, \
                      \"unsupported\": {}, \"timeouts\": {}, \"retries\": {}, \"routed\": {}, \
-                     \"scattered\": {}, \"writes\": {}, \"write_errors\": {}, \
+                     \"writes\": {}, \"write_errors\": {}, \
                      \"answer_hash\": \"{:016x}\", \"latency_ns\": {}, \"service_ns\": {}, \
-                     \"gather_ns\": {}, \"intervals\": [{}]}}",
+                     \"intervals\": [{}]}}",
                     json_escape(&p.name),
                     p.clients,
                     p.rate.map_or("null".to_string(), |r| format!("{r:.1}")),
@@ -479,13 +463,11 @@ impl StressReport {
                     p.timeouts,
                     p.retries,
                     p.routed,
-                    p.scattered,
                     p.writes,
                     p.write_errors,
                     p.answer_hash,
                     hist(&p.latency),
                     hist(&p.service_time),
-                    hist(&p.gather),
                     intervals_json(&p.intervals)
                 )
             })
@@ -548,11 +530,11 @@ impl StressReport {
              \"rate\": {},\n  \"burst\": {},\n  \"shards\": {},\n  \"replicas\": {},\n  \
              \"routing\": \"{}\",\n  \"interval_ms\": {},\n  \"elapsed_s\": {:.3},\n  \
              \"ops\": {},\n  \"ok\": {},\n  \"errors\": {},\n  \"unsupported\": {},\n  \
-             \"timeouts\": {},\n  \"retries\": {},\n  \"routed\": {},\n  \"scattered\": {},\n  \
+             \"timeouts\": {},\n  \"retries\": {},\n  \"routed\": {},\n  \
              \"rejects\": {},\n  \"early_drops\": {},\n  \"writes\": {},\n  \
              \"write_errors\": {},\n  \"throughput_ops_s\": {:.1},\n  \
              \"answer_hash\": \"{:016x}\",\n  \"cache\": {},\n  \"epochs\": {},\n  \
-             \"latency_ns\": {},\n  \"service_ns\": {},\n  \"gather_ns\": {},\n  \
+             \"latency_ns\": {},\n  \"service_ns\": {},\n  \
              \"tenants\": [{}],\n  \"phases\": [{}],\n  \"per_shard\": [{}]\n}}\n",
             json_escape(name),
             json_escape(&self.mix),
@@ -573,7 +555,6 @@ impl StressReport {
             self.timeouts,
             self.retries,
             self.routed,
-            self.scattered,
             self.rejects,
             self.early_drops,
             self.writes,
@@ -584,7 +565,6 @@ impl StressReport {
             epochs,
             hist(&self.latency),
             hist(&self.service_time),
-            hist(&self.gather),
             tenants,
             phases,
             per_shard
@@ -621,10 +601,7 @@ impl StressReport {
             self.unsupported, self.timeouts
         ));
         out.push_str(&format!("| retries | {} |\n", self.retries));
-        out.push_str(&format!(
-            "| routed / scattered | {} / {} |\n",
-            self.routed, self.scattered
-        ));
+        out.push_str(&format!("| routed | {} |\n", self.routed));
         out.push_str(&format!(
             "| rejects / early drops | {} / {} |\n",
             self.rejects, self.early_drops
@@ -656,7 +633,6 @@ impl StressReport {
         for (label, h) in [
             ("latency", &self.latency),
             ("service", &self.service_time),
-            ("gather", &self.gather),
             ("swap pause", &self.epochs.swap_pause),
             ("write apply", &self.epochs.write_apply),
             ("freshness lag", &self.epochs.freshness_lag),
@@ -857,13 +833,11 @@ struct ClientStats {
     rejects: u64,
     retries: u64,
     routed: u64,
-    scattered: u64,
     writes: u64,
     write_errors: u64,
     answer_hash: u64,
     latency: LogHistogram,
     service_time: LogHistogram,
-    gather: LogHistogram,
     write_accept: LogHistogram,
     /// Latency samples bucketed by completion time relative to the phase
     /// start — striped per client, merged exactly at phase end.
@@ -881,13 +855,11 @@ impl ClientStats {
             rejects: 0,
             retries: 0,
             routed: 0,
-            scattered: 0,
             writes: 0,
             write_errors: 0,
             answer_hash: 0,
             latency: LogHistogram::new(),
             service_time: LogHistogram::new(),
-            gather: LogHistogram::new(),
             write_accept: LogHistogram::new(),
             intervals: IntervalSeries::new(interval_ns),
         }
@@ -902,13 +874,11 @@ impl ClientStats {
         self.rejects += other.rejects;
         self.retries += other.retries;
         self.routed += other.routed;
-        self.scattered += other.scattered;
         self.writes += other.writes;
         self.write_errors += other.write_errors;
         self.answer_hash ^= other.answer_hash;
         self.latency.merge(&other.latency);
         self.service_time.merge(&other.service_time);
-        self.gather.merge(&other.gather);
         self.write_accept.merge(&other.write_accept);
         self.intervals.merge(&other.intervals);
     }
@@ -1072,13 +1042,11 @@ pub fn run_scenario<T: StressTarget>(target: &T, scenario: &Scenario) -> StressR
             timeouts: total.timeouts,
             retries: total.retries,
             routed: total.routed,
-            scattered: total.scattered,
             writes: total.writes,
             write_errors: total.write_errors,
             answer_hash: total.answer_hash,
             latency: total.latency,
             service_time: total.service_time,
-            gather: total.gather,
             write_accept: total.write_accept,
             intervals: total.intervals,
         });
@@ -1095,13 +1063,11 @@ pub fn run_scenario<T: StressTarget>(target: &T, scenario: &Scenario) -> StressR
         total.timeouts += p.timeouts;
         total.retries += p.retries;
         total.routed += p.routed;
-        total.scattered += p.scattered;
         total.writes += p.writes;
         total.write_errors += p.write_errors;
         total.answer_hash ^= p.answer_hash;
         total.latency.merge(&p.latency);
         total.service_time.merge(&p.service_time);
-        total.gather.merge(&p.gather);
         total.write_accept.merge(&p.write_accept);
     }
     let per_shard: Vec<ShardSnapshot> = target
@@ -1176,7 +1142,6 @@ pub fn run_scenario<T: StressTarget>(target: &T, scenario: &Scenario) -> StressR
         timeouts: total.timeouts,
         retries: total.retries,
         routed: total.routed,
-        scattered: total.scattered,
         rejects,
         early_drops,
         writes: total.writes,
@@ -1191,7 +1156,6 @@ pub fn run_scenario<T: StressTarget>(target: &T, scenario: &Scenario) -> StressR
         answer_hash: total.answer_hash,
         latency: total.latency,
         service_time: total.service_time,
-        gather: total.gather,
         tenants: tenant_reports,
         phases,
         per_shard,
@@ -1347,13 +1311,8 @@ fn client_loop<T: StressTarget>(
         let done = Instant::now();
         stats.ops += 1;
         stats.retries += u64::from(resp.retries());
-        match resp.route {
-            Route::Direct => {}
-            Route::Routed { .. } => stats.routed += 1,
-            Route::Scattered { .. } => {
-                stats.scattered += 1;
-                stats.gather.record(resp.gather_wait.as_nanos() as u64);
-            }
+        if let Route::Routed { .. } = resp.route {
+            stats.routed += 1;
         }
         let latency_ns = done.saturating_duration_since(intended).as_nanos() as u64;
         stats.latency.record(latency_ns);

@@ -6,8 +6,7 @@
 //! Queries pin the current snapshot at submission and run against it to
 //! completion — even while a writer is already installing the next epoch —
 //! so every answer is internally consistent with exactly one version of the
-//! graph (*snapshot isolation*), and scattered analytics legs all see the
-//! same version because the router stamps one snapshot across the fan-out.
+//! graph (*snapshot isolation*).
 //!
 //! Writes flow through the [`EpochManager`]:
 //!
@@ -32,7 +31,7 @@
 //! no per-replica staleness window for the routing policy to expose.
 //!
 //! Cache correctness is belt *and* suspenders: every epoch recomputes the
-//! order-independent graph/leg fingerprints, so a stale entry can never
+//! order-independent graph fingerprint, so a stale entry can never
 //! alias a new epoch's answer even without invalidation — the invalidation
 //! at swap (the hook `cache.rs` reserved for exactly this) just stops dead
 //! entries from pinning capacity.
@@ -64,22 +63,15 @@ use vcgp_testkit::LogHistogram;
 /// Domain separator for the mutation stream.
 pub const MUT_STREAM: u64 = 0x4D55_5453; // "MUTS"
 
-/// One shard's slice of an epoch: the local subgraph plus the cache
-/// identity derived from it. Immutable once built, shared via [`Arc`].
+/// One shard's slice of an epoch: the local subgraph the shard answers
+/// point lookups from. Immutable once built, shared via [`Arc`].
 #[derive(Debug)]
 pub struct ShardSlice {
     /// The shard-local directed CSR slice (owned out-adjacency over the
     /// full vertex-id space).
     pub local: Graph,
-    /// Cache fingerprint of this shard's scattered legs on this epoch:
-    /// whole-graph fingerprint ⊕ slice fingerprint ⊕ owned-id-set hash.
-    pub leg_fp: u64,
     /// Vertices this shard owns in this epoch.
     pub owned: usize,
-    /// Order-independent hash of the owned id set (folded into `leg_fp`;
-    /// kept so the next epoch can extend it incrementally when the id
-    /// space grows).
-    pub owned_hash: u64,
 }
 
 /// One immutable version of the resident graph. Queries pin the snapshot

@@ -19,15 +19,14 @@
 //!   [`shard::ShardedGraphService`] splits vertex ownership across S
 //!   shards, each running `R ≥ 1` replica cores over the same slice
 //!   (placement via the engine's partitioner, so `VCGP_PARTITIONING`
-//!   applies) and the router owner-routes point lookups, scatters
-//!   gather-mergeable analytics with typed partial merges, falls back to a
-//!   primary shard for the rest, and picks replicas by a pluggable policy
-//!   (seeded round-robin or least-loaded queue depth);
-//! * [`cache`] — the per-core result cache: a capacity-bounded, segmented
-//!   LRU memoizing `(workload, graph fingerprint, seed) → answer` for whole
-//!   analytics answers *and* scattered per-shard partials, with
-//!   deterministic (wall-clock-free) eviction and invalidation hooks for
-//!   graph swaps / re-shards;
+//!   applies) and the router sends each request to exactly one shard —
+//!   point lookups to the vertex's owner, analytics whole to the shard
+//!   their `(workload, seed)` hashes to — and picks replicas by a
+//!   pluggable policy (seeded round-robin or least-loaded queue depth);
+//! * [`cache`] — the per-shard result cache: a capacity-bounded,
+//!   segmented LRU memoizing `(workload, graph fingerprint, seed) →
+//!   answer`, with deterministic (wall-clock-free) eviction and
+//!   invalidation hooks for graph swaps / re-shards;
 //! * [`epoch`] — live mutations: a bounded write buffer drained by a
 //!   writer thread that applies seeded mutation batches off the serving
 //!   path and installs immutable epoch snapshots (monotone ids, atomic
@@ -76,7 +75,7 @@ pub mod scenario;
 pub mod service;
 pub mod shard;
 
-pub use cache::{CacheKey, CacheScope, CacheStats, CachedAnswer, ResultCache};
+pub use cache::{CacheKey, CacheStats, CachedAnswer, ResultCache};
 pub use driver::{run, run_scenario, DriverConfig, PhaseReport, StressReport, TenantReport};
 pub use epoch::{
     mutation_op, EpochSnapshot, MutationConfig, ShardSlice, WriterReport, WriterStats,
@@ -91,7 +90,7 @@ pub use scenario::{
     SpanSpec,
 };
 pub use request::{QueryError, QueryKind, QueryOutput, QueryRequest, QueryResponse, Route};
-pub use router::{AnyTicket, GatherTicket, RoutingPolicy, StressTarget};
+pub use router::{AnyTicket, RoutingPolicy, StressTarget};
 pub use service::{
     GraphService, QueueFullPolicy, ReplicaSeries, ReplicaSnapshot, ServiceConfig, ServiceStats,
     ShardSnapshot, SubmitError, Ticket,

@@ -41,13 +41,11 @@ const SERVING_WORKLOADS: [Workload; 10] = [
 pub(crate) const MIX_STREAM: u64 = 0x4D49_5853; // "MIXS"
 
 /// The serving-suitable workload pool on `graph`: the subset of
-/// [`SERVING_WORKLOADS`] the graph supports, optionally restricted to
-/// gather-mergeable workloads (those a sharded service can scatter).
-pub(crate) fn serving_pool(graph: &Graph, scatter_only: bool) -> Vec<Workload> {
+/// [`SERVING_WORKLOADS`] the graph supports.
+pub(crate) fn serving_pool(graph: &Graph) -> Vec<Workload> {
     SERVING_WORKLOADS
         .into_iter()
         .filter(|&w| service::supported(w, graph).is_ok())
-        .filter(|&w| !scatter_only || service::gather_mode(w) != service::GatherMode::Whole)
         .collect()
 }
 
@@ -170,10 +168,7 @@ impl Mix {
     /// * `hotspot` — 100 % point lookups over the lowest `max(1, n/8)`
     ///   vertex ids: a contiguous hot set, so under range shard placement
     ///   every request lands on one shard while hash placement spreads it —
-    ///   the shard-locality probe;
-    /// * `scatter` — 100 % analytics restricted to gather-mergeable
-    ///   workloads: every operation fans out to all shards, the pure
-    ///   scatter/gather stressor.
+    ///   the shard-locality probe.
     ///
     /// The workload pool is the serving-suitable subset of Table 1
     /// intersected with [`vcgp_core::service::supported_workloads`]; a
@@ -184,17 +179,16 @@ impl Mix {
             "mixed" => ("mixed", 80),
             "analytics" => ("analytics", 0),
             "hotspot" => ("hotspot", 100),
-            "scatter" => ("scatter", 0),
             other => {
                 return Err(format!(
-                    "unknown mix '{other}' (expected points, mixed, analytics, hotspot, or scatter)"
+                    "unknown mix '{other}' (expected points, mixed, analytics, or hotspot)"
                 ))
             }
         };
         let workloads: Vec<Workload> = if point_pct == 100 {
             Vec::new()
         } else {
-            serving_pool(graph, canonical == "scatter")
+            serving_pool(graph)
         };
         if point_pct < 100 && workloads.is_empty() {
             return Err(format!(

@@ -25,7 +25,7 @@
 //! * **A priority lane per tenant** — point lookups (degree/neighbors)
 //!   enqueue as priority and are served before any tenant's normal
 //!   (analytics) backlog, round-robin across tenants, so lookups are
-//!   never stuck behind scattered analytics legs.
+//!   never stuck behind multi-superstep analytics runs.
 //!
 //! Queue-full policy is per-tenant: each lane has its own capacity (the
 //! configured per-core queue capacity), so one tenant's backlog rejects

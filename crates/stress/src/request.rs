@@ -3,7 +3,6 @@
 use crate::epoch::EpochSnapshot;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vcgp_core::service::Partial;
 use vcgp_core::Workload;
 use vcgp_graph::VertexId;
 
@@ -12,11 +11,6 @@ use vcgp_graph::VertexId;
 pub enum QueryKind {
     /// Run one Table 1 workload end to end on the resident graph.
     Workload(Workload),
-    /// One scattered leg of a workload: compute the executing shard's
-    /// owned-slice partial. Produced by the shard router when it fans an
-    /// analytics request out; a single-instance service treats it as a
-    /// whole-graph partial (it owns every vertex).
-    WorkloadPartial(Workload),
     /// Out-degree of a vertex (point lookup).
     Degree(VertexId),
     /// Out-neighbor list of a vertex (point lookup).
@@ -36,7 +30,6 @@ impl QueryKind {
     pub fn label(&self) -> String {
         match self {
             QueryKind::Workload(w) => format!("{w:?}"),
-            QueryKind::WorkloadPartial(w) => format!("partial:{w:?}"),
             QueryKind::Degree(_) => "degree".to_string(),
             QueryKind::Neighbors(_) => "neighbors".to_string(),
             QueryKind::DebugSleep(_) => "debug-sleep".to_string(),
@@ -71,8 +64,8 @@ pub struct QueryRequest {
     pub epoch: Option<Arc<EpochSnapshot>>,
     /// Tenant id for the QoS admission stage (see [`crate::qos`]): picks
     /// the lane, token bucket, and queue-full policy the request falls
-    /// under. Clamped to the configured tenant count at submission;
-    /// scattered legs inherit the parent's tenant. Default 0.
+    /// under. Clamped to the configured tenant count at submission.
+    /// Default 0.
     pub tenant: u32,
 }
 
@@ -128,16 +121,6 @@ pub enum QueryOutput {
         /// Algorithm-level messages the run sent.
         messages: u64,
     },
-    /// One shard's contribution to a scattered workload (merged by the
-    /// router's gather step into a [`QueryOutput::Workload`]).
-    WorkloadPartial {
-        /// The owned-slice partial.
-        partial: Partial,
-        /// Supersteps of this shard's run.
-        supersteps: u64,
-        /// Messages of this shard's run.
-        messages: u64,
-    },
     /// Out-degree.
     Degree(usize),
     /// Out-neighbor list.
@@ -191,14 +174,15 @@ impl std::fmt::Display for QueryError {
 impl std::error::Error for QueryError {}
 
 /// How a sharded front-end dispatched a request (echoed in the response so
-/// load drivers can count routed-vs-scattered traffic without asking the
-/// service).
+/// load drivers can count routed traffic without asking the service).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Route {
     /// Answered by a single-instance service (or a non-sharded path).
     #[default]
     Direct,
-    /// Owner-routed to exactly one shard (and one replica core within it).
+    /// Routed to exactly one shard (and one replica core within it): the
+    /// owner of a point lookup's vertex, or an analytics request's
+    /// cache-affine shard.
     Routed {
         /// The shard that served the request.
         shard: u32,
@@ -206,9 +190,9 @@ pub enum Route {
         /// (always 0 when the shard is unreplicated).
         replica: u32,
     },
-    /// Scattered to every shard and gather-merged.
+    /// No longer constructed; kept until a benchmark change stops naming it.
     Scattered {
-        /// Number of shard legs fanned out.
+        /// Number of shards.
         shards: u32,
     },
 }
@@ -221,24 +205,18 @@ pub struct QueryResponse {
     /// The payload or the failure.
     pub result: Result<QueryOutput, QueryError>,
     /// Execution attempts consumed (0 when the request never ran, e.g.
-    /// expired deadline or shutdown). For scattered requests, the maximum
-    /// across legs.
+    /// expired deadline, shutdown, or a cache hit).
     pub attempts: u32,
-    /// Time spent waiting in the service queue before the first attempt
-    /// (maximum across legs when scattered).
+    /// Time spent waiting in the service queue before the first attempt.
     pub queue_wait: Duration,
     /// Total execution time across all attempts (excludes queueing and
-    /// backoff). For scattered requests, the *sum* across legs — the
-    /// aggregate compute the request burned on the fleet.
+    /// backoff).
     pub service_time: Duration,
-    /// Total time spent backing off between attempts (summed across legs
-    /// when scattered).
+    /// Total time spent backing off between attempts.
     pub backoff: Duration,
     /// How the request was dispatched.
     pub route: Route,
-    /// Straggler penalty of a scattered request: how long the gatherer
-    /// waited for the remaining shards after the first leg it collected
-    /// had answered. Zero for non-scattered requests.
+    /// Always zero; kept until a benchmark change stops naming it.
     pub gather_wait: Duration,
 }
 

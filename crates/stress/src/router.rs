@@ -1,50 +1,42 @@
 //! The sharded service's routing front-end.
 //!
-//! Classifies each [`QueryKind`] submitted to a
-//! [`ShardedGraphService`](crate::shard::ShardedGraphService):
+//! Sends each [`QueryKind`] submitted to a
+//! [`ShardedGraphService`](crate::shard::ShardedGraphService) to exactly
+//! one shard:
 //!
-//! * **Point lookups** (degree / neighbors) are *owner-routed*: exactly one
-//!   shard — the one whose slice owns the vertex — sees the request.
-//! * **Gather-mergeable analytics** (every Table 1 workload whose
-//!   [`GatherMode`] is not [`GatherMode::Whole`]) are *scattered*: the
-//!   router fans one [`QueryKind::WorkloadPartial`] leg per shard, each
-//!   shard reduces the deterministic run over its owned slice, and the
-//!   gather step merges the typed [`Partial`]s
-//!   (sum / max / arg-max per workload) back into the exact unsharded
-//!   answer.
-//! * Every Table 1 workload now has a mergeable gather (BCC gained a
-//!   minimum-edge-endpoint block reduction), so the *whole-run* fall-back
-//!   to the designated primary shard remains only for externally
-//!   submitted [`QueryKind::WorkloadPartial`] requests and any future
-//!   [`GatherMode::Whole`] workload — the documented path that keeps
-//!   every workload servable under sharding.
+//! * **Point lookups** (degree / neighbors) are *owner-routed*: the shard
+//!   whose slice owns the vertex answers from that slice.
+//! * **Analytics** run whole, once, on the shard `mix3(seed, workload,
+//!   ANALYTICS_STREAM) % S`. The pick depends only on the request's
+//!   `(workload, seed)`, so a repeat always lands on the same shard's
+//!   result cache. Fanning a request out to every shard would rerun the
+//!   whole algorithm once per shard for the same answer, multiplying the
+//!   time-processor product by `S`.
 //! * **Debug hooks** are spread round-robin by request id.
 //!
-//! The response carries the decision ([`Route`]) plus, for scattered
-//! requests, the straggler penalty ([`QueryResponse::gather_wait`]), so
-//! load drivers can report routed-vs-scattered traffic and gather latency
-//! without asking the service.
+//! The response carries the decision ([`Route::Routed`]), so load drivers
+//! can count routed traffic without asking the service.
 //!
 //! **Replica routing.** When a shard runs more than one replica core
 //! ([`crate::service::ServiceConfig::replicas`]), every dispatch that
-//! lands on a shard — owner-routed lookups, each scattered leg, the
-//! primary-shard whole run, and the debug spread — additionally picks a
-//! replica by the service's [`RoutingPolicy`]: `round-robin` walks the
-//! shard's replicas from a seeded offset, `least-loaded` picks the replica
-//! with the smallest queue-depth gauge (ties broken by the lowest replica
-//! id). Replicas serve the same epoch-pinned snapshot and share the
-//! shard's result cache, so the pick affects latency only, never answers.
+//! lands on a shard additionally picks a replica by the service's
+//! [`RoutingPolicy`]: `round-robin` walks the shard's replicas from a
+//! seeded offset, `least-loaded` picks the replica with the smallest
+//! queue-depth gauge (ties broken by the lowest replica id). Replicas
+//! serve the same epoch-pinned snapshot and share the shard's result
+//! cache, so the pick affects latency only, never answers.
 
 use crate::epoch::{WriterReport, WriterStats};
 use crate::qos::TenantLaneStats;
-use crate::request::{
-    QueryError, QueryKind, QueryOutput, QueryRequest, QueryResponse, Route,
-};
+use crate::request::{QueryKind, QueryRequest, QueryResponse, Route};
 use crate::service::{GraphService, ReplicaSeries, ShardSnapshot, SubmitError, Ticket};
 use crate::shard::ShardedGraphService;
-use std::time::{Duration, Instant};
-use vcgp_core::service::{gather_mode, GatherMode, Partial};
+use std::time::Instant;
+use vcgp_graph::rng::mix3;
 use vcgp_graph::Mutation;
+
+/// Domain separator of the analytics shard pick.
+const ANALYTICS_STREAM: u64 = 0x414E_4C59; // "ANLY"
 
 /// How the router picks a replica core within a shard. Irrelevant (and
 /// unobservable beyond [`Route::Routed`]'s replica field) when every shard
@@ -84,194 +76,50 @@ impl RoutingPolicy {
     }
 }
 
-/// A pending response from either a single queue or a scattered fan-out.
-pub enum AnyTicket {
-    /// One underlying ticket; the route is patched into the response.
-    Single {
-        /// The queue ticket.
-        ticket: Ticket,
-        /// How the request was dispatched.
-        route: Route,
-    },
-    /// One leg per shard, merged at wait time.
-    Scattered(GatherTicket),
+/// A pending response: the queue ticket plus the route patched into the
+/// response.
+pub struct AnyTicket {
+    ticket: Ticket,
+    route: Route,
 }
 
 impl AnyTicket {
     /// The submitted request's id.
     pub fn id(&self) -> u64 {
-        match self {
-            AnyTicket::Single { ticket, .. } => ticket.id(),
-            AnyTicket::Scattered(g) => g.id,
-        }
+        self.ticket.id()
     }
 
-    /// Blocks until the response (gather-merged when scattered) arrives.
+    /// Blocks until the response arrives.
     pub fn wait(self) -> QueryResponse {
-        match self {
-            AnyTicket::Single { ticket, route } => {
-                let mut resp = ticket.wait();
-                resp.route = route;
-                resp
-            }
-            AnyTicket::Scattered(g) => g.wait(),
-        }
-    }
-}
-
-/// The gather side of a scattered request: one ticket per shard leg.
-pub struct GatherTicket {
-    id: u64,
-    legs: Vec<Ticket>,
-}
-
-impl GatherTicket {
-    /// Collects every leg and merges them into one response.
-    ///
-    /// Cost metrics aggregate across legs: `attempts` and `queue_wait` take
-    /// the maximum (the binding constraint), `service_time` and `backoff`
-    /// sum (aggregate fleet compute burned), and `gather_wait` is the time
-    /// spent waiting for the remaining legs after the first collected leg
-    /// had answered — the straggler penalty of the fan-out.
-    ///
-    /// On success every leg is a [`QueryOutput::WorkloadPartial`]; the
-    /// merged answer is [`Partial::finish`] of the folded partials,
-    /// `supersteps` is the maximum (every leg runs the same deterministic
-    /// schedule, so this equals the single-instance count) and `messages`
-    /// the sum (aggregate traffic). If any leg failed, the merged response
-    /// carries the first failure in shard order.
-    pub fn wait(self) -> QueryResponse {
-        let shards = self.legs.len() as u32;
-        let mut responses = Vec::with_capacity(self.legs.len());
-        let mut first_collected: Option<Instant> = None;
-        for leg in self.legs {
-            responses.push(leg.wait());
-            first_collected.get_or_insert_with(Instant::now);
-        }
-        let gather_wait = first_collected.map_or(Duration::ZERO, |t| t.elapsed());
-
-        let mut attempts = 0u32;
-        let mut queue_wait = Duration::ZERO;
-        let mut service_time = Duration::ZERO;
-        let mut backoff = Duration::ZERO;
-        for r in &responses {
-            attempts = attempts.max(r.attempts);
-            queue_wait = queue_wait.max(r.queue_wait);
-            service_time += r.service_time;
-            backoff += r.backoff;
-        }
-
-        let result = merge_legs(&responses);
-        QueryResponse {
-            id: self.id,
-            result,
-            attempts,
-            queue_wait,
-            service_time,
-            backoff,
-            route: Route::Scattered { shards },
-            gather_wait,
-        }
-    }
-}
-
-/// Folds scattered legs into the global workload output (or the first
-/// per-leg failure in shard order).
-fn merge_legs(responses: &[QueryResponse]) -> Result<QueryOutput, QueryError> {
-    let mut merged: Option<Partial> = None;
-    let mut supersteps = 0u64;
-    let mut messages = 0u64;
-    for r in responses {
-        match &r.result {
-            Err(e) => return Err(e.clone()),
-            Ok(QueryOutput::WorkloadPartial {
-                partial,
-                supersteps: s,
-                messages: m,
-            }) => {
-                supersteps = supersteps.max(*s);
-                messages += *m;
-                merged = Some(match merged {
-                    None => *partial,
-                    Some(acc) => acc.merge(*partial),
-                });
-            }
-            Ok(_) => {
-                return Err(QueryError::Unsupported(
-                    "gather: leg returned a non-partial output".to_string(),
-                ))
-            }
-        }
-    }
-    match merged {
-        Some(p) => Ok(QueryOutput::Workload {
-            answer: p.finish(),
-            supersteps,
-            messages,
-        }),
-        None => Err(QueryError::Unsupported("gather: no legs".to_string())),
+        let mut resp = self.ticket.wait();
+        resp.route = self.route;
+        resp
     }
 }
 
 impl ShardedGraphService {
-    /// Routes and submits one request. Point lookups go to the owning
-    /// shard; gather-mergeable workloads (all of Table 1) scatter to
-    /// every shard; [`GatherMode::Whole`] workloads and externally
-    /// submitted partials run on the primary shard; debug hooks spread by
-    /// request id.
+    /// Routes and submits one request to exactly one shard: point lookups
+    /// to the vertex's owner, analytics to the shard their `(workload,
+    /// seed)` hashes to, debug hooks by request id. Within the shard the
+    /// [`RoutingPolicy`] picks the replica.
     ///
-    /// Fails with [`SubmitError::Closed`] once the service is closed. When
-    /// a scatter fails midway, legs already accepted still execute but
-    /// their responses are abandoned (dropped tickets), matching the
-    /// semantics of dropping any other ticket.
-    ///
-    /// Every submission is pinned to the currently serving epoch — **one**
-    /// snapshot across all legs of a scatter, so a swap landing mid-fan-out
-    /// can never hand different legs different graph versions (the gather
-    /// merge would silently mix epochs otherwise).
+    /// Fails with [`SubmitError::Closed`] once the service is closed.
+    /// Every submission is pinned to the currently serving epoch.
     pub fn submit(&self, mut req: QueryRequest) -> Result<AnyTicket, SubmitError> {
         req.epoch = Some(self.epochs.current());
-        match req.kind {
-            QueryKind::Degree(v) | QueryKind::Neighbors(v) => {
-                let shard = self.owner(v);
-                let (ticket, replica) = self.shards[shard].submit(self.routing, req)?;
-                Ok(AnyTicket::Single {
-                    ticket,
-                    route: Route::Routed { shard: shard as u32, replica },
-                })
+        let shards = self.shards.len() as u64;
+        let shard = match req.kind {
+            QueryKind::Degree(v) | QueryKind::Neighbors(v) => self.owner(v),
+            QueryKind::Workload(w) => {
+                (mix3(req.seed, w as u64, ANALYTICS_STREAM) % shards) as usize
             }
-            QueryKind::Workload(w)
-                if self.shards.len() > 1 && gather_mode(w) != GatherMode::Whole =>
-            {
-                let id = req.id;
-                let legs = self
-                    .shards
-                    .iter()
-                    .map(|sh| {
-                        let mut leg = req.clone();
-                        leg.kind = QueryKind::WorkloadPartial(w);
-                        sh.submit(self.routing, leg).map(|(ticket, _)| ticket)
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(AnyTicket::Scattered(GatherTicket { id, legs }))
-            }
-            QueryKind::Workload(_) | QueryKind::WorkloadPartial(_) => {
-                let shard = self.primary;
-                let (ticket, replica) = self.shards[shard].submit(self.routing, req)?;
-                Ok(AnyTicket::Single {
-                    ticket,
-                    route: Route::Routed { shard: shard as u32, replica },
-                })
-            }
-            QueryKind::DebugSleep(_) | QueryKind::DebugPanic => {
-                let shard = (req.id % self.shards.len() as u64) as usize;
-                let (ticket, replica) = self.shards[shard].submit(self.routing, req)?;
-                Ok(AnyTicket::Single {
-                    ticket,
-                    route: Route::Routed { shard: shard as u32, replica },
-                })
-            }
-        }
+            QueryKind::DebugSleep(_) | QueryKind::DebugPanic => (req.id % shards) as usize,
+        };
+        let (ticket, replica) = self.shards[shard].submit(self.routing, req)?;
+        Ok(AnyTicket {
+            ticket,
+            route: Route::Routed { shard: shard as u32, replica },
+        })
     }
 }
 
@@ -327,7 +175,7 @@ pub trait StressTarget: Sync {
 
 impl StressTarget for GraphService {
     fn submit_op(&self, req: QueryRequest) -> Result<AnyTicket, SubmitError> {
-        Ok(AnyTicket::Single {
+        Ok(AnyTicket {
             ticket: self.submit(req)?,
             route: Route::Direct,
         })

@@ -58,13 +58,12 @@
 //! unless explicit counts are given.
 //!
 //! `KIND` is `point` (degree / neighbor lookups), `analytics` (the
-//! serving-suitable workload pool), `scatter` (gather-mergeable workloads
-//! only), a specific workload name (`pagerank`, `sssp`, …), or `mutate`
-//! (one mutation from the seeded mutation stream). `DIST` and `span=` are
-//! only valid on `point` ops: `DIST` is a [`DistSpec`] token (`uniform`,
-//! `sequential`, `gaussian[:MEAN:STD]`, `zipfian:S`; default `uniform`)
-//! and `SPAN` is `full`, a fraction like `1/8`, or an absolute id count
-//! (default `full`).
+//! serving-suitable workload pool), a specific workload name (`pagerank`,
+//! `sssp`, …), or `mutate` (one mutation from the seeded mutation stream).
+//! `DIST` and `span=` are only valid on `point` ops: `DIST` is a
+//! [`DistSpec`] token (`uniform`, `sequential`, `gaussian[:MEAN:STD]`,
+//! `zipfian:S`; default `uniform`) and `SPAN` is `full`, a fraction like
+//! `1/8`, or an absolute id count (default `full`).
 //!
 //! # Bit-identical preset desugaring
 //!
@@ -127,9 +126,6 @@ pub enum OpClass {
     Point,
     /// One workload drawn uniformly from the serving-suitable pool.
     Analytics,
-    /// Like `analytics`, restricted to gather-mergeable workloads (every
-    /// draw scatters on a sharded service).
-    Scatter,
     /// One specific workload.
     Workload(Workload),
     /// One mutation from the seeded mutation stream.
@@ -141,7 +137,6 @@ impl OpClass {
         match self {
             OpClass::Point => "point".to_string(),
             OpClass::Analytics => "analytics".to_string(),
-            OpClass::Scatter => "scatter".to_string(),
             OpClass::Workload(w) => format!("{w:?}").to_ascii_lowercase(),
             OpClass::Mutate => "mutate".to_string(),
         }
@@ -841,12 +836,11 @@ fn parse_op(tokens: &[&str]) -> Result<OpSpec, String> {
     let kind = match tokens[0] {
         "point" => OpClass::Point,
         "analytics" => OpClass::Analytics,
-        "scatter" => OpClass::Scatter,
         "mutate" => OpClass::Mutate,
         name => OpClass::Workload(parse_workload(name).ok_or_else(|| {
             format!(
-                "unknown op kind {name:?} (expected point, analytics, scatter, mutate, \
-                 or a workload name)"
+                "unknown op kind {name:?} (expected point, analytics, mutate, or a \
+                 workload name)"
             )
         })?),
     };
@@ -1098,20 +1092,10 @@ impl PhaseMix {
             let action = match op.kind {
                 OpClass::Point => MixAction::Point(op.dist.sampler(op.span.resolve(n))),
                 OpClass::Analytics => {
-                    let pool = serving_pool(graph, false);
+                    let pool = serving_pool(graph);
                     if pool.is_empty() {
                         return Err(
                             "'analytics' op: this graph supports no serving workloads".to_string()
-                        );
-                    }
-                    MixAction::Pool(pool)
-                }
-                OpClass::Scatter => {
-                    let pool = serving_pool(graph, true);
-                    if pool.is_empty() {
-                        return Err(
-                            "'scatter' op: this graph supports no gather-mergeable workloads"
-                                .to_string(),
                         );
                     }
                     MixAction::Pool(pool)

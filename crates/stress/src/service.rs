@@ -40,11 +40,11 @@
 //! [`Core::submit`] consults it *before* enqueueing — a hit is answered
 //! immediately from the memoized `(workload, graph fingerprint, seed)`
 //! entry without consuming a queue slot or an executor — and executors
-//! insert every freshly computed workload answer (whole or scattered leg)
-//! on completion. Keys carry no replica identity, so an answer computed on
-//! any replica serves every replica of the shard.
+//! insert every freshly computed workload answer on completion. Keys
+//! carry no replica identity, so an answer computed on any replica serves
+//! every replica of the shard.
 
-use crate::cache::{CacheKey, CacheScope, CachedAnswer, ResultCache};
+use crate::cache::{CacheKey, CachedAnswer, ResultCache};
 use crate::epoch::{
     spawn_writer, EpochManager, EpochRebuild, EpochSnapshot, MutationConfig, WriterReport,
     WriterStats,
@@ -476,10 +476,7 @@ pub(crate) trait ExecBackend: Send + Sync + 'static {
 fn cacheable_output(output: &QueryOutput) -> Option<CachedAnswer> {
     match *output {
         QueryOutput::Workload { answer, supersteps, messages } => {
-            Some(CachedAnswer::Whole { answer, supersteps, messages })
-        }
-        QueryOutput::WorkloadPartial { partial, supersteps, messages } => {
-            Some(CachedAnswer::Leg { partial, supersteps, messages })
+            Some(CachedAnswer { answer, supersteps, messages })
         }
         _ => None,
     }
@@ -488,14 +485,8 @@ fn cacheable_output(output: &QueryOutput) -> Option<CachedAnswer> {
 /// Rehydrates a memoized answer into the response payload it was cached
 /// from.
 fn cached_output(value: CachedAnswer) -> QueryOutput {
-    match value {
-        CachedAnswer::Whole { answer, supersteps, messages } => {
-            QueryOutput::Workload { answer, supersteps, messages }
-        }
-        CachedAnswer::Leg { partial, supersteps, messages } => {
-            QueryOutput::WorkloadPartial { partial, supersteps, messages }
-        }
-    }
+    let CachedAnswer { answer, supersteps, messages } = value;
+    QueryOutput::Workload { answer, supersteps, messages }
 }
 
 /// A pending response. Dropping the ticket abandons the response (the
@@ -867,7 +858,7 @@ impl ExecBackend for FullGraphBackend {
 
     fn cache_key(&self, req: &QueryRequest) -> Option<CacheKey> {
         let snap = req.epoch.as_ref().unwrap_or(&self.base);
-        workload_cache_key(&req.kind, req.seed, snap.fingerprint, snap.fingerprint)
+        workload_cache_key(&req.kind, req.seed, snap.fingerprint)
     }
 }
 
@@ -899,29 +890,16 @@ impl EpochRebuild for FullGraphRebuild {
     }
 }
 
-/// The cache key of a workload request on a backend whose whole answers
-/// are identified by `whole_fp` and whose scattered legs by `leg_fp`.
-/// `None` for everything that must not be memoized (point lookups, debug
-/// hooks). Shared with the shard backend.
+/// The cache key of a workload request on a graph identified by
+/// `fingerprint`. `None` for everything that must not be memoized (point
+/// lookups, debug hooks). Shared with the shard backend.
 pub(crate) fn workload_cache_key(
     kind: &QueryKind,
     seed: u64,
-    whole_fp: u64,
-    leg_fp: u64,
+    fingerprint: u64,
 ) -> Option<CacheKey> {
     match *kind {
-        QueryKind::Workload(w) => Some(CacheKey {
-            workload: w,
-            scope: CacheScope::Whole,
-            fingerprint: whole_fp,
-            seed,
-        }),
-        QueryKind::WorkloadPartial(w) => Some(CacheKey {
-            workload: w,
-            scope: CacheScope::Leg,
-            fingerprint: leg_fp,
-            seed,
-        }),
+        QueryKind::Workload(workload) => Some(CacheKey { workload, fingerprint, seed }),
         _ => None,
     }
 }
@@ -1278,7 +1256,7 @@ fn backoff_with_jitter(config: &ServiceConfig, req_id: u64, attempt: u32) -> Dur
 }
 
 /// Executes one request kind against the full resident graph. Shared with
-/// the sharded service's primary-shard fall-back path.
+/// the shard backend, which runs analytics whole on one shard.
 pub(crate) fn execute_on_full_graph(
     graph: &Graph,
     kind: &QueryKind,
@@ -1291,17 +1269,6 @@ pub(crate) fn execute_on_full_graph(
                 .map_err(|e| QueryError::Unsupported(e.to_string()))?;
             Ok(QueryOutput::Workload {
                 answer: run.answer,
-                supersteps: run.stats.supersteps(),
-                messages: run.stats.total_messages(),
-            })
-        }
-        QueryKind::WorkloadPartial(w) => {
-            // A single-instance service owns the whole vertex set, so its
-            // "partial" is the global reduction.
-            let run = vcgp_core::service::run_workload_partial(w, graph, engine, seed, &|_| true)
-                .map_err(|e| QueryError::Unsupported(e.to_string()))?;
-            Ok(QueryOutput::WorkloadPartial {
-                partial: run.partial,
                 supersteps: run.stats.supersteps(),
                 messages: run.stats.total_messages(),
             })

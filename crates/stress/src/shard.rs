@@ -12,22 +12,17 @@
 //! owned vertices over the full vertex-id space (a directed CSR slice).
 //! Owner-routed point lookups (degree / neighbors) are answered from this
 //! slice alone, never touching the full graph's CSR. The *structural* full
-//! graph is additionally retained per shard behind the shared [`Arc`] —
-//! the single-process stand-in for the partitioned-plus-replicated storage
-//! a distributed deployment would use — because scattered analytics legs
-//! run the full deterministic algorithm and then reduce its per-vertex
-//! outputs over the shard's owned slice (see
-//! [`vcgp_core::service::run_workload_partial`] for why that is the only
-//! way a scatter/gather merge can be *exactly* equal to the unsharded
-//! answer).
+//! graph is additionally shared by every shard behind one [`Arc`], because
+//! each analytics request runs whole — once — on a single shard the router
+//! picks from the request's `(workload, seed)` (see [`crate::router`]).
 //!
 //! Under live mutations the slices are **per-epoch**: every
 //! [`EpochSnapshot`] carries one [`ShardSlice`] per shard, and the epoch
 //! writer rebuilds them *incrementally* — [`vcgp_graph::splice_slice`]
 //! patches only the touched rows of the previous epoch's slice (falling
-//! back to a from-scratch rebuild when the delta is large), and the
-//! owned-id-set hash is extended rather than recomputed when the id space
-//! grows. Ownership itself is **frozen at start**: the partitioner is
+//! back to a from-scratch rebuild when the delta is large), and the owned
+//! count is extended rather than recomputed when the id space grows.
+//! Ownership itself is **frozen at start**: the partitioner is
 //! total over the whole `u32` id space, so vertices added later still get
 //! a deterministic owner and the routing of pinned in-flight requests is
 //! never invalidated (vertex removal detaches but never shrinks the id
@@ -59,18 +54,12 @@ use std::time::Instant;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use vcgp_core::fingerprint::{graph_fingerprint, leg_fingerprint};
+use vcgp_core::fingerprint::graph_fingerprint;
 use vcgp_graph::rng::mix3;
 use vcgp_graph::{apply_batch, splice_slice, ApplyDelta, ApplyStats, Graph, GraphBuilder, Mutation,
     VertexId};
 use vcgp_pregel::partition::Partitioner;
 use vcgp_pregel::PregelConfig;
-
-/// Domain separator of the owned-id-set hash.
-const OWNS_STREAM: u64 = 0x4F57_4E53; // "OWNS"
-
-/// Domain separator folding the slice fingerprint into the leg identity.
-const SLICE_STREAM: u64 = 0x534C_4943; // "SLIC"
 
 /// Domain separator seeding each shard's round-robin replica cursor.
 const RR_STREAM: u64 = 0x5252_4F54; // "RROT"
@@ -96,68 +85,41 @@ fn build_local_slice(full: &Graph, partitioner: &Partitioner, shard: usize) -> G
 }
 
 /// Builds one shard's [`ShardSlice`] from scratch: the local subgraph plus
-/// the owned-id-set hash and the leg cache fingerprint derived from it.
-fn build_shard_slice(
-    full: &Graph,
-    partitioner: &Partitioner,
-    shard: usize,
-    whole_fp: u64,
-) -> ShardSlice {
-    let local = build_local_slice(full, partitioner, shard);
-    // The slice fingerprint alone misses owned vertices with no out-arcs
-    // (sinks leave no trace in the slice), so fold in an order-independent
-    // hash of the owned id set — the leg identity then changes under *any*
-    // ownership change.
-    let mut owned = 0usize;
-    let mut owned_hash = 0u64;
-    for v in 0..full.num_vertices() as VertexId {
-        if partitioner.owner(v) == shard {
-            owned += 1;
-            owned_hash = owned_hash.wrapping_add(mix3(u64::from(v), OWNS_STREAM, 0));
-        }
-    }
+/// the owned vertex count.
+fn build_shard_slice(full: &Graph, partitioner: &Partitioner, shard: usize) -> ShardSlice {
+    let owned = (0..full.num_vertices() as VertexId)
+        .filter(|&v| partitioner.owner(v) == shard)
+        .count();
     ShardSlice {
-        leg_fp: leg_fingerprint(whole_fp, mix3(graph_fingerprint(&local), owned_hash, SLICE_STREAM)),
-        local,
+        local: build_local_slice(full, partitioner, shard),
         owned,
-        owned_hash,
     }
 }
 
-/// Rebuilds one shard's slice for the next epoch, incrementally: extend
-/// the owned id set over any vertices the batch added (ownership of
-/// existing ids is frozen), splice only the touched rows of the previous
-/// slice, and refresh the leg fingerprint. Falls back to a from-scratch
-/// rebuild when the delta covers more than a quarter of the graph — at
-/// that point the splice's row bookkeeping costs more than it saves.
+/// Rebuilds one shard's slice for the next epoch, incrementally: count
+/// the owned vertices among any the batch added (ownership of existing
+/// ids is frozen) and splice only the touched rows of the previous slice.
+/// Falls back to a from-scratch rebuild when the delta covers more than a
+/// quarter of the graph — at that point the splice's row bookkeeping
+/// costs more than it saves.
 fn rebuild_slice(
     old: &ShardSlice,
     full: &Arc<Graph>,
-    whole_fp: u64,
     delta: &ApplyDelta,
     partitioner: &Partitioner,
     shard: usize,
     old_n: usize,
 ) -> ShardSlice {
     let owns = |v: VertexId| partitioner.owner(v) == shard;
-    let mut owned = old.owned;
-    let mut owned_hash = old.owned_hash;
-    for v in old_n..delta.new_n {
-        if owns(v as VertexId) {
-            owned += 1;
-            owned_hash = owned_hash.wrapping_add(mix3(v as u64, OWNS_STREAM, 0));
-        }
-    }
+    let added = (old_n..delta.new_n).filter(|&v| owns(v as VertexId)).count();
     let local = if delta.touched.len() * 4 > full.num_vertices() {
         build_local_slice(full, partitioner, shard)
     } else {
         splice_slice(&old.local, full, &delta.touched, &owns)
     };
     ShardSlice {
-        leg_fp: leg_fingerprint(whole_fp, mix3(graph_fingerprint(&local), owned_hash, SLICE_STREAM)),
         local,
-        owned,
-        owned_hash,
+        owned: old.owned + added,
     }
 }
 
@@ -174,28 +136,19 @@ impl EpochRebuild for ShardedRebuild {
         let old_n = base.graph.num_vertices();
         let (graph, delta) = apply_batch(&base.graph, batch);
         let graph = Arc::new(graph);
-        let whole_fp = graph_fingerprint(&graph);
         let locals = base
             .locals
             .iter()
             .enumerate()
             .map(|(s, old)| {
-                Arc::new(rebuild_slice(
-                    old,
-                    &graph,
-                    whole_fp,
-                    &delta,
-                    &self.partitioner,
-                    s,
-                    old_n,
-                ))
+                Arc::new(rebuild_slice(old, &graph, &delta, &self.partitioner, s, old_n))
             })
             .collect();
         (
             EpochSnapshot {
                 id: base.id + 1,
+                fingerprint: graph_fingerprint(&graph),
                 graph,
-                fingerprint: whole_fp,
                 locals,
             },
             delta.stats,
@@ -210,8 +163,7 @@ impl EpochRebuild for ShardedRebuild {
 }
 
 /// One shard's execution backend: the pinned epoch's local slice for point
-/// lookups, its full structural graph (owned-slice filtered) for
-/// analytics.
+/// lookups, its full structural graph for analytics.
 struct ShardBackend {
     shard: usize,
     partitioner: Partitioner,
@@ -254,22 +206,7 @@ impl ExecBackend for ShardBackend {
                 let g = if self.owns(v) { local } else { &*snap.graph };
                 Ok(QueryOutput::Neighbors(g.out_neighbors(v).to_vec()))
             }
-            QueryKind::WorkloadPartial(w) => {
-                let run = vcgp_core::service::run_workload_partial(
-                    w,
-                    &snap.graph,
-                    engine,
-                    req.seed,
-                    &|v| self.owns(v),
-                )
-                .map_err(|e| QueryError::Unsupported(e.to_string()))?;
-                Ok(QueryOutput::WorkloadPartial {
-                    partial: run.partial,
-                    supersteps: run.stats.supersteps(),
-                    messages: run.stats.total_messages(),
-                })
-            }
-            // Whole workloads (the primary-shard fall-back path) and the
+            // Analytics (run whole on the shard the router picked) and the
             // debug hooks behave exactly like the single-instance service.
             _ => execute_on_full_graph(&snap.graph, &req.kind, req.seed, engine),
         }
@@ -277,12 +214,7 @@ impl ExecBackend for ShardBackend {
 
     fn cache_key(&self, req: &QueryRequest) -> Option<CacheKey> {
         let snap = req.epoch.as_ref().unwrap_or(&self.base);
-        workload_cache_key(
-            &req.kind,
-            req.seed,
-            snap.fingerprint,
-            snap.locals[self.shard].leg_fp,
-        )
+        workload_cache_key(&req.kind, req.seed, snap.fingerprint)
     }
 }
 
@@ -363,19 +295,15 @@ impl Shard {
     }
 }
 
-/// The resident graph served by `S` independent shard cores behind an
-/// owner-routing / scatter-gather front-end (the routing itself lives in
-/// [`crate::router`]), with an optional live-mutation stream installing
-/// epoch-versioned snapshots (graph + per-shard slices swap together).
+/// The resident graph served by `S` independent shard cores behind a
+/// routing front-end that sends every request to exactly one shard (the
+/// routing itself lives in [`crate::router`]), with an optional
+/// live-mutation stream installing epoch-versioned snapshots (graph +
+/// per-shard slices swap together).
 pub struct ShardedGraphService {
     pub(crate) graph: Arc<Graph>,
     pub(crate) partitioner: Partitioner,
     pub(crate) shards: Vec<Shard>,
-    /// Shard that runs [`GatherMode::Whole`](vcgp_core::service::GatherMode)
-    /// workloads and externally submitted partials whole — the documented
-    /// fall-back that keeps every workload servable (no Table 1 workload
-    /// needs it anymore now that BCC gathers).
-    pub(crate) primary: usize,
     /// How the router picks a replica within a shard.
     pub(crate) routing: RoutingPolicy,
     pub(crate) epochs: Arc<EpochManager>,
@@ -394,15 +322,14 @@ impl ShardedGraphService {
         assert!(config.replicas >= 1, "need at least one replica per shard");
         let n = graph.num_vertices();
         let partitioner = Partitioner::new(config.engine.partitioning, n, num_shards);
-        let whole_fp = graph_fingerprint(&graph);
         let locals: Vec<Arc<ShardSlice>> = (0..num_shards)
-            .map(|s| Arc::new(build_shard_slice(&graph, &partitioner, s, whole_fp)))
+            .map(|s| Arc::new(build_shard_slice(&graph, &partitioner, s)))
             .collect();
         let epochs = Arc::new(EpochManager::new(
             EpochSnapshot {
                 id: 0,
                 graph: Arc::clone(&graph),
-                fingerprint: whole_fp,
+                fingerprint: graph_fingerprint(&graph),
                 locals,
             },
             config.mutations.as_ref(),
@@ -455,7 +382,6 @@ impl ShardedGraphService {
             graph,
             partitioner,
             shards,
-            primary: 0,
             routing: config.routing,
             epochs,
             writer,
@@ -716,20 +642,15 @@ mod tests {
         let old_n = g.num_vertices();
         for strategy in [Partitioning::Hash, Partitioning::Range] {
             let p = Partitioner::new(strategy, old_n, 3);
-            let whole0 = graph_fingerprint(&g);
-            let slices: Vec<ShardSlice> =
-                (0..3).map(|s| build_shard_slice(&g, &p, s, whole0)).collect();
+            let slices: Vec<ShardSlice> = (0..3).map(|s| build_shard_slice(&g, &p, s)).collect();
             let batch: Vec<Mutation> = (0..16).map(|i| mutation_op(13, i, old_n)).collect();
             let (new_full, delta) = apply_batch(&g, &batch);
             let new_full = Arc::new(new_full);
-            let whole1 = graph_fingerprint(&new_full);
             for (s, old_slice) in slices.iter().enumerate() {
-                let inc = rebuild_slice(old_slice, &new_full, whole1, &delta, &p, s, old_n);
-                let scratch = build_shard_slice(&new_full, &p, s, whole1);
+                let inc = rebuild_slice(old_slice, &new_full, &delta, &p, s, old_n);
+                let scratch = build_shard_slice(&new_full, &p, s);
                 assert_eq!(inc.local, scratch.local, "strategy {strategy:?} shard {s}");
                 assert_eq!(inc.owned, scratch.owned, "strategy {strategy:?} shard {s}");
-                assert_eq!(inc.owned_hash, scratch.owned_hash);
-                assert_eq!(inc.leg_fp, scratch.leg_fp, "strategy {strategy:?} shard {s}");
             }
         }
     }

@@ -5,9 +5,9 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use vcgp_core::service::{gather_mode, run_workload, GatherMode};
+use vcgp_core::service::{run_workload, supported_workloads};
 use vcgp_core::Workload;
-use vcgp_graph::{generators, Graph};
+use vcgp_graph::generators;
 use vcgp_pregel::partition::Partitioning;
 use vcgp_pregel::PregelConfig;
 use vcgp_stress::request::{QueryKind, QueryOutput, QueryRequest};
@@ -27,25 +27,15 @@ fn config_for(strategy: Partitioning, cache_capacity: usize) -> ServiceConfig {
     }
 }
 
-/// Every Table 1 workload this graph supports that is gather-mergeable
-/// (scatters when sharded), i.e. everything the cache memoizes as legs.
-fn mergeable_workloads(graph: &Graph) -> Vec<Workload> {
-    Workload::ALL
-        .into_iter()
-        .filter(|&w| vcgp_core::service::supported(w, graph).is_ok())
-        .filter(|&w| gather_mode(w) != GatherMode::Whole)
-        .collect()
-}
-
 vcgp_props! {
     #![cases(6)]
 
-    // The acceptance property: for every gather-mergeable workload, both
+    // The acceptance property: for every supported workload, both
     // partitioning strategies, and S ∈ {1, 2, 4}, submitting the same
     // request twice yields the cold `run_workload` answer both times —
     // bit-identical answer AND superstep count — and the second submission
-    // is served from the cache (hit counters advance; the fresh/cached
-    // merge is invisible in the payload).
+    // is served from the cache: the repeat lands on the same shard, so it
+    // hits exactly once.
     fn cached_answers_bit_identical_to_uncached(
         graph_seed in 0u64..1_000,
         req_seed in 0u64..1_000_000,
@@ -59,8 +49,8 @@ vcgp_props! {
         } else {
             generators::labeled_digraph(n, m, 3, graph_seed)
         });
-        let workloads = mergeable_workloads(&graph);
-        prop_assert!(!workloads.is_empty(), "graph supports no mergeable workloads");
+        let workloads = supported_workloads(&graph);
+        prop_assert!(!workloads.is_empty(), "graph supports no workloads");
 
         for strategy in [Partitioning::Hash, Partitioning::Range] {
             let config = config_for(strategy, 256);
@@ -102,12 +92,10 @@ vcgp_props! {
                             }
                         }
                     }
-                    // The replay hit on every shard leg it scattered to
-                    // (or on the whole answer when S = 1).
                     let hits = service.stats().cache_hits - cold_hits;
                     prop_assert!(
-                        hits >= 1,
-                        "{w:?} S={shards} {strategy:?}: replay did not hit the cache"
+                        hits == 1,
+                        "{w:?} S={shards} {strategy:?}: replay hit the cache {hits} times"
                     );
                 }
                 service.shutdown();
@@ -214,7 +202,7 @@ fn sharded_invalidate_clears_every_shard() {
         .unwrap()
         .wait();
     assert!(resp.is_ok());
-    assert!(service.stats().cache_bytes > 0, "legs cached on the shards");
+    assert!(service.stats().cache_bytes > 0, "answer cached on its shard");
     service.invalidate_cache();
     assert_eq!(service.stats().cache_bytes, 0);
     let stats = service.shutdown();

@@ -1,6 +1,6 @@
 //! Integration + property tests for shard replicas and replica routing:
 //! answer identity for any replica count under both routing policies
-//! (including cached hits and scattered analytics legs), exactly-one-epoch
+//! (including cached hits and sharded analytics), exactly-one-epoch
 //! answers under a concurrent mutation writer, seeded round-robin dispatch
 //! order, least-loaded backlog splitting, the replica-agnostic shared
 //! cache, and the fold of per-replica rows into the shard snapshot.
@@ -48,7 +48,7 @@ vcgp_props! {
     // answers. For S ∈ {1, 4} × R ∈ {1, 2, 3} × both routing policies ×
     // both placement strategies, a two-pass driver run (pass 2 replays the
     // identical seeded stream, so it exercises the shared cache; the mixed
-    // preset scatters analytics legs at S=4; the zipfian key draw skews
+    // preset routes analytics across shards at S=4; the zipfian key draw skews
     // the point lookups) completes the same op count with the same answer
     // hash as the R=1 baseline, with zero errors.
     fn replicated_answers_bit_identical_to_single_replica(

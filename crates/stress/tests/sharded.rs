@@ -1,12 +1,11 @@
-//! Integration + property tests for the sharded service: scatter/gather
-//! equivalence with the unsharded service, owner routing, the primary-shard
-//! fall-back, admission control, and deadline early drops.
+//! Integration + property tests for the sharded service: analytics run
+//! once on one shard with the unsharded answer, owner routing, admission
+//! control, and deadline early drops.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vcgp_core::service::{gather_mode, run_workload, GatherMode};
-use vcgp_core::Workload;
-use vcgp_graph::{generators, Graph, VertexId};
+use vcgp_core::service::{run_workload, supported_workloads};
+use vcgp_graph::{generators, VertexId};
 use vcgp_pregel::partition::Partitioning;
 use vcgp_pregel::PregelConfig;
 use vcgp_stress::request::{QueryError, QueryKind, QueryOutput, QueryRequest, Route};
@@ -25,24 +24,15 @@ fn config_for(strategy: Partitioning) -> ServiceConfig {
     }
 }
 
-/// Every Table 1 workload that this graph supports and that is
-/// gather-mergeable (scatters instead of falling back to the primary).
-fn mergeable_workloads(graph: &Graph) -> Vec<Workload> {
-    Workload::ALL
-        .into_iter()
-        .filter(|&w| vcgp_core::service::supported(w, graph).is_ok())
-        .filter(|&w| gather_mode(w) != GatherMode::Whole)
-        .collect()
-}
-
 vcgp_props! {
     #![cases(8)]
 
-    // The acceptance property: for every gather-mergeable workload, both
-    // partitioning strategies, and S ∈ {1, 2, 4}, the sharded service's
-    // scatter/gather answer (and superstep count) is identical to running
-    // the workload unsharded with the same engine config and seed.
-    fn sharded_scatter_gather_equals_unsharded(
+    // The acceptance property: for every supported workload, both
+    // partitioning strategies, and S ∈ {1, 2, 4}, the sharded service
+    // routes the request to exactly one shard, and its answer (and
+    // superstep count) is identical to running the workload unsharded with
+    // the same engine config and seed.
+    fn sharded_analytics_run_once_and_equal_unsharded(
         graph_seed in 0u64..1_000,
         req_seed in 0u64..1_000_000,
         directed in 0u64..2,
@@ -55,8 +45,8 @@ vcgp_props! {
         } else {
             generators::labeled_digraph(n, m, 3, graph_seed)
         });
-        let workloads = mergeable_workloads(&graph);
-        prop_assert!(!workloads.is_empty(), "graph supports no mergeable workloads");
+        let workloads = supported_workloads(&graph);
+        prop_assert!(!workloads.is_empty(), "graph supports no workloads");
 
         for strategy in [Partitioning::Hash, Partitioning::Range] {
             let config = config_for(strategy);
@@ -89,13 +79,15 @@ vcgp_props! {
                             );
                         }
                     }
-                    if shards > 1 {
-                        prop_assert!(
-                            resp.route == Route::Scattered { shards: shards as u32 },
-                            "{w:?} should scatter, got {:?}",
-                            resp.route
-                        );
-                    }
+                    let routed = matches!(
+                        resp.route,
+                        Route::Routed { shard, .. } if (shard as usize) < shards
+                    );
+                    prop_assert!(
+                        routed,
+                        "{w:?} S={shards} should be routed to one shard, got {:?}",
+                        resp.route
+                    );
                 }
                 service.shutdown();
             }
@@ -139,8 +131,8 @@ fn point_lookups_are_owner_routed_and_exact() {
             .unwrap()
             .wait();
         assert_eq!(miss.result, Err(QueryError::NoSuchVertex(10_000)));
-        // Only owner-routed work: nothing scattered, every shard that owns
-        // vertices completed something.
+        // Only owner-routed work: every shard that owns vertices completed
+        // something.
         let snaps = service.shard_snapshots();
         assert_eq!(snaps.len(), 4);
         for s in &snaps {
@@ -152,33 +144,68 @@ fn point_lookups_are_owner_routed_and_exact() {
 }
 
 #[test]
-fn bcc_scatters_and_merges_exactly() {
-    // BCC gather support: each shard counts the blocks whose minimum-id
-    // edge endpoint it owns, and the Sum merge reproduces the whole-graph
-    // block count — no primary fall-back, every shard does work.
-    let graph = Arc::new(generators::gnm_connected(24, 60, 9));
-    assert_eq!(gather_mode(Workload::Bcc), GatherMode::Sum);
-    for strategy in [Partitioning::Hash, Partitioning::Range] {
-        let config = config_for(strategy);
-        let expected = run_workload(Workload::Bcc, &graph, &config.engine, 42).unwrap();
-        let service = ShardedGraphService::start(Arc::clone(&graph), config, 4);
-        let resp = service
-            .submit(QueryRequest::new(1, QueryKind::Workload(Workload::Bcc)).with_seed(42))
-            .unwrap()
-            .wait();
-        assert_eq!(resp.route, Route::Scattered { shards: 4 }, "{strategy:?}");
+fn each_analytics_request_runs_once_and_replays_hit_its_shard_cache() {
+    // At S=4, R=2: N distinct (workload, seed) requests execute exactly N
+    // times across the whole replica fleet, and replaying them is answered
+    // N times from the cache of the shard each first ran on, without a
+    // single new execution.
+    let graph = Arc::new(generators::gnm_connected(40, 100, 9));
+    let config = ServiceConfig { replicas: 2, ..config_for(Partitioning::Hash) };
+    let requests: Vec<_> = supported_workloads(&graph)
+        .into_iter()
+        .flat_map(|w| (0..3u64).map(move |seed| (w, seed)))
+        .collect();
+    let n = requests.len() as u64;
+    let service = ShardedGraphService::start(Arc::clone(&graph), config.clone(), 4);
+    let submit_all = |first_id: u64| -> Vec<_> {
+        requests
+            .iter()
+            .enumerate()
+            .map(|(i, &(w, seed))| {
+                let req = QueryRequest::new(first_id + i as u64, QueryKind::Workload(w))
+                    .with_seed(seed);
+                service.submit(req).unwrap().wait()
+            })
+            .collect()
+    };
+    let replica_completed = || -> u64 {
+        service
+            .shard_snapshots()
+            .iter()
+            .flat_map(|s| &s.replicas)
+            .map(|r| r.stats.completed)
+            .sum()
+    };
+    let cold = submit_all(0);
+    for (resp, &(w, seed)) in cold.iter().zip(&requests) {
+        let expected = run_workload(w, &graph, &config.engine, seed).unwrap();
         match resp.result {
             Ok(QueryOutput::Workload { answer, .. }) => {
-                assert_eq!(answer, expected.answer, "{strategy:?}")
+                assert_eq!(answer, expected.answer, "{w:?} seed {seed}")
             }
-            other => panic!("unexpected: {other:?}"),
+            ref other => panic!("{w:?} seed {seed}: unexpected {other:?}"),
         }
-        let snaps = service.shard_snapshots();
-        for s in &snaps {
-            assert_eq!(s.stats.completed, 1, "shard {} ran its leg", s.shard);
-        }
-        service.shutdown();
+        assert!(resp.attempts >= 1, "{w:?} seed {seed}: cold request executed");
     }
+    assert_eq!(replica_completed(), n, "each request ran on exactly one core");
+    let before = service.stats();
+
+    let warm = submit_all(n);
+    let after = service.stats();
+    assert_eq!(after.cache_hits - before.cache_hits, n, "every replay hit");
+    assert_eq!(after.cache_misses, before.cache_misses, "no replay missed");
+    assert_eq!(after.busy_ns, before.busy_ns, "no replay executed");
+    for (c, w) in cold.iter().zip(&warm) {
+        assert_eq!(w.result, c.result);
+        assert_eq!(w.attempts, 0, "replay answered from the cache");
+        let shard = |r: Route| match r {
+            Route::Routed { shard, .. } => shard,
+            other => panic!("expected a routed response, got {other:?}"),
+        };
+        assert_eq!(shard(w.route), shard(c.route), "replay landed on the same shard");
+    }
+    assert_eq!(replica_completed(), 2 * n, "cache hits count as completed");
+    service.shutdown();
 }
 
 #[test]
